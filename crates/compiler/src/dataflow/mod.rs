@@ -13,11 +13,18 @@
 //!   coalesce copy-related temps into one home;
 //! * [`value_graph`] — def-use chains ([`DefUse`]) and a hash-consed,
 //!   constant-folding value graph ([`ValueGraph`]) with the coarse
-//!   store/call aliasing test ([`value_graph::may_alias`]) shared by
-//!   `cse`, `gvn` and `load_fwd`.
+//!   store/call aliasing test ([`value_graph::may_alias`]) behind the
+//!   load kills of `cse`, `gvn` and `load_fwd`;
+//! * [`availability`] — the forward all-paths availability solver
+//!   (meet = ∩, entry = ∅) shared by `gvn` and `load_fwd`: a pass
+//!   describes its facts through [`GenKill`] once per call, the solver
+//!   composes each block's per-op transfers into one `gen`/`kill` pair
+//!   and iterates `out = (in ∖ kill) ∪ gen` word by word over the
+//!   reverse postorder, so the fixpoint never revisits an op.
 //!
 //! The consumers are deliberately split across three layers: the
-//! optimisation passes (`gvn`, `load_fwd`, the dominance-based `licm`),
+//! optimisation passes (`gvn` and `load_fwd` on the availability
+//! solver, the dominance-based `licm`),
 //! the IR→ISA transfer (liveness-driven copy coalescing in
 //! [`crate::codegen`]), and the WCET flow-fact plumbing (the value
 //! graph resolves loop limits/inits/steps that flow through temps into
@@ -29,10 +36,12 @@
 //! the application core drops the rest of the cache when the pass
 //! reports a change.
 
+pub mod availability;
 pub mod dominance;
 pub mod liveness;
 pub mod value_graph;
 
+pub use availability::GenKill;
 pub use dominance::DomTree;
 pub use liveness::Liveness;
 pub use value_graph::{may_alias, op_clobbers, DefUse, ValueGraph};
@@ -90,6 +99,11 @@ impl BitSet {
     pub fn remove(&mut self, i: usize) {
         debug_assert!(i < self.len);
         self.words[i / 64] &= !(1u64 << (i % 64));
+    }
+
+    /// Remove every member.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
     }
 
     /// Membership test.

@@ -58,8 +58,14 @@
 //!   expression already computed on *every* path is replaced by a copy
 //!   of the temp that still holds it (subsumes `cse` across blocks);
 //! * `load_fwd` — global store-to-load forwarding: a load whose cell
-//!   provably holds a known value on every incoming path becomes a
-//!   copy of that value;
+//!   provably holds a stored value on every incoming path becomes a
+//!   copy of that value. `gvn` and `load_fwd` share the block-summary
+//!   availability solver of [`crate::dataflow::availability`]: each
+//!   call files every op under its fact once ([`GvnFacts`],
+//!   [`LoadFwdFacts`] — interned bases, per-base kill masks, an
+//!   expression/cell → ascending fact ids index), composes per-block
+//!   `gen`/`kill` sets and iterates `out = (in ∖ kill) ∪ gen` word by
+//!   word, so no op is replayed per fixpoint round;
 //! * `unroll` — fully unrolls *provably* constant-trip loops up to a
 //!   trip ceiling (cycles ↓, code ↑: the classic size/speed trade);
 //! * `strength_reduce` — `x * 2ⁿ` → shift (strictly better);
@@ -109,7 +115,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::dataflow::{self, may_alias, BitSet, DefUse, DomTree, Liveness, ValueGraph};
+use crate::dataflow::availability::{self, BaseIds, FactLists, TempIndex, NO_ID};
+use crate::dataflow::{self, BitSet, DefUse, DomTree, GenKill, Liveness, ValueGraph};
 use crate::driver::CompilerConfig;
 use minipool::Pool;
 use serde::{Deserialize, Serialize};
@@ -1192,14 +1199,18 @@ fn op_dst(op: &IrOp) -> Option<Temp> {
 /// current value of `expr`". A forward all-paths dataflow (meet =
 /// intersection, entry = ∅) kills a fact when any temp its expression
 /// reads is redefined — and, for loads, when an aliasing store or any
-/// call lands ([`may_alias`]). A fact available at a recomputation of
-/// the same expression proves the holder still carries exactly the
-/// value the op would compute, on **every** incoming path — including
-/// around loop back-edges — so the op becomes a copy of the holder.
+/// call lands ([`may_alias`](dataflow::may_alias)). A fact available at
+/// a recomputation of the same expression proves the holder still
+/// carries exactly the value the op would compute, on **every**
+/// incoming path — including around loop back-edges — so the op
+/// becomes a copy of the holder.
 ///
 /// Sites whose destination is multi-def generate no facts (the holder
 /// can go stale without its expression changing); [`local_cse`] still
 /// covers those within a block by tracking redefinitions positionally.
+///
+/// The facts ([`GvnFacts`]) are built once per call and solved on
+/// block summaries by [`dataflow::availability`].
 ///
 /// Returns `true` if anything changed.
 pub fn gvn(f: &mut IrFunction) -> bool {
@@ -1210,303 +1221,411 @@ pub fn gvn(f: &mut IrFunction) -> bool {
 
 /// [`gvn`] against prebuilt analyses (the pass-framework entry point).
 fn gvn_with(f: &mut IrFunction, dom: &DomTree, du: &DefUse) -> bool {
-    // 1. The fact universe: every keyed pure op with a single-def
-    //    destination, in deterministic site order. Self-reading ops
-    //    (`t = t + 1`) are not keyed — their value goes stale the
-    //    moment they run.
-    struct Fact {
-        site: (usize, usize),
-        key: ExprKey,
-        holder: Temp,
-    }
-    let mut facts: Vec<Fact> = Vec::new();
-    let mut fact_at: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut facts_of_key: HashMap<ExprKey, Vec<usize>> = HashMap::new();
-    for (bi, b) in f.blocks.iter().enumerate() {
-        for (oi, op) in b.ops.iter().enumerate() {
-            let (Some(key), Some(dst)) = (ExprKey::of(op), op_dst(op)) else {
-                continue;
-            };
-            if key.read_temps().contains(&dst) || du.single_def(dst) != Some((bi, oi)) {
-                continue;
-            }
-            let id = facts.len();
-            fact_at.insert((bi, oi), id);
-            facts_of_key.entry(key.clone()).or_default().push(id);
-            facts.push(Fact {
-                site: (bi, oi),
-                key,
-                holder: dst,
-            });
-        }
-    }
-    let n = facts.len();
-    if n == 0 {
+    let facts = GvnFacts::build(f, du);
+    if facts.universe() == 0 {
         return false;
     }
-    // Inverted indexes for the kill sets. (A fact's holder needs no
-    // kill entry: it is single-def, and its one def *is* the gen site.)
-    let mut killed_by_temp: HashMap<Temp, Vec<usize>> = HashMap::new();
-    let mut load_facts: Vec<(usize, MemBase)> = Vec::new();
-    for (id, fact) in facts.iter().enumerate() {
-        for t in fact.key.read_temps() {
-            killed_by_temp.entry(t).or_default().push(id);
-        }
-        if let ExprKey::Load(base, _) = &fact.key {
-            load_facts.push((id, base.clone()));
-        }
-    }
-    // The transfer of one op at one site: kills first (writes clobber
-    // facts whose expression reads the temp; stores/calls clobber load
-    // facts), then the site's own fact becomes available.
-    let apply = |site: (usize, usize), op: &IrOp, avail: &mut BitSet| {
-        dataflow::for_each_write(op, |t| {
-            for &id in killed_by_temp.get(&t).map_or(&[][..], |v| v) {
-                avail.remove(id);
-            }
-        });
-        match op {
-            IrOp::Store { base, .. } => {
-                for (id, kb) in &load_facts {
-                    if may_alias(base, kb) {
-                        avail.remove(*id);
-                    }
-                }
-            }
-            IrOp::Call { .. } => {
-                for (id, _) in &load_facts {
-                    avail.remove(*id);
-                }
-            }
-            _ => {}
-        }
-        if let Some(&id) = fact_at.get(&site) {
-            avail.insert(id);
-        }
-    };
-    // 2. Forward fixpoint over the reachable blocks in reverse
-    //    postorder: in = ∩ preds' out, entry = ∅, unreached inits full.
-    let nb = f.blocks.len();
     let preds = teamplay_minic::cfg::predecessors(f);
-    let mut avail_in: Vec<BitSet> = (0..nb).map(|_| BitSet::full(n)).collect();
-    let mut avail_out: Vec<BitSet> = (0..nb).map(|_| BitSet::full(n)).collect();
-    avail_in[0] = BitSet::new(n);
-    loop {
-        let mut changed = false;
-        for &b in dom.rpo() {
-            if b != 0 {
-                let mut inn = BitSet::full(n);
-                for &p in &preds[b] {
-                    inn.intersect_with(&avail_out[p]);
-                }
-                changed |= avail_in[b] != inn;
-                avail_in[b] = inn;
-            }
-            let mut out = avail_in[b].clone();
-            for (oi, op) in f.blocks[b].ops.iter().enumerate() {
-                apply((b, oi), op, &mut out);
-            }
-            changed |= avail_out[b] != out;
-            avail_out[b] = out;
-        }
-        if !changed {
-            break;
-        }
-    }
-    // 3. Replacement walk: a keyed op with an available fact for the
-    //    same expression (held by a *different* temp) becomes a copy of
-    //    the holder. The transfer uses the *original* op — its own fact
-    //    (if any) still holds after the copy, so chains keep folding.
+    let avail_in = availability::available_in(f, dom.rpo(), &preds, &facts);
+    // Replacement walk: a keyed op with an available fact for the same
+    // expression (held by a *different* temp) becomes a copy of the
+    // holder. The transfer uses the *original* op — its own fact (if
+    // any) still holds after the copy, so chains keep folding.
     let mut changed = false;
     for &b in dom.rpo() {
         let mut cur = avail_in[b].clone();
         for oi in 0..f.blocks[b].ops.len() {
-            let op = f.blocks[b].ops[oi].clone();
-            let replacement = (|| {
-                let (key, dst) = (ExprKey::of(&op)?, op_dst(&op)?);
-                if key.read_temps().contains(&dst) {
-                    return None;
-                }
-                let holder = facts_of_key
-                    .get(&key)?
-                    .iter()
-                    .copied()
-                    .filter(|&id| cur.contains(id) && facts[id].site != (b, oi))
-                    .map(|id| facts[id].holder)
-                    .next()?;
+            let op = &f.blocks[b].ops[oi];
+            let copy = op_dst(op).and_then(|dst| {
+                let holder = facts.available_holder(b, oi, &cur)?;
                 (holder != dst).then_some(IrOp::Copy {
                     dst,
                     src: Operand::Temp(holder),
                 })
-            })();
-            if let Some(copy) = replacement {
+            });
+            facts.transfer(b, oi, op, &mut cur);
+            if let Some(copy) = copy {
                 f.blocks[b].ops[oi] = copy;
                 changed = true;
             }
-            apply((b, oi), &op, &mut cur);
         }
     }
     changed
 }
 
+/// The fact universe of [`gvn`]: one fact per keyed pure op with a
+/// single-def destination that its expression does not read, in site
+/// order. Every op is keyed, hashed and classified exactly once here;
+/// the transfers then run on dense tables and bit masks.
+#[derive(Debug)]
+pub struct GvnFacts {
+    /// First flat site of each block.
+    start: Vec<usize>,
+    /// Per site: the value-number class of a keyed op that does not
+    /// read its own destination, else `NO_ID`.
+    site_class: Vec<u32>,
+    /// Per site: the fact it generates, else `NO_ID`.
+    site_fact: Vec<u32>,
+    /// Per site: the interned base of a store, else `NO_ID`.
+    site_store: Vec<u32>,
+    /// Per class: its facts.
+    class_facts: FactLists,
+    /// Per fact: its flat site and its holder.
+    fact_site: Vec<u32>,
+    fact_holder: Vec<Temp>,
+    /// Per interned base: whether it is a `Param` array.
+    base_param: Vec<bool>,
+    /// Load facts: all of them, those through `Param` bases, and those
+    /// through each interned base.
+    loads: BitSet,
+    param_loads: BitSet,
+    loads_of: Vec<BitSet>,
+    by_temp: TempIndex,
+}
+
+impl GvnFacts {
+    /// The universe of `f`, with `du` its def-use chains.
+    pub fn build(f: &IrFunction, du: &DefUse) -> GvnFacts {
+        let sites: usize = f.blocks.iter().map(|b| b.ops.len()).sum();
+        let mut start = Vec::with_capacity(f.blocks.len());
+        let mut site_class = Vec::with_capacity(sites);
+        let mut site_fact = Vec::with_capacity(sites);
+        let mut site_store = Vec::with_capacity(sites);
+        let mut classes: HashMap<ExprKey, u32> = HashMap::new();
+        let mut class_facts = FactLists::default();
+        let (mut fact_site, mut fact_holder) = (Vec::new(), Vec::new());
+        let mut load_facts: Vec<(u32, u32)> = Vec::new();
+        let mut reads: Vec<(Temp, u32)> = Vec::new();
+        let mut bases = BaseIds::default();
+        for (bi, b) in f.blocks.iter().enumerate() {
+            start.push(site_class.len());
+            for (oi, op) in b.ops.iter().enumerate() {
+                let site = site_class.len() as u32;
+                site_store.push(match op {
+                    IrOp::Store { base, .. } => bases.intern(base),
+                    _ => NO_ID,
+                });
+                let (mut class, mut fact) = (NO_ID, NO_ID);
+                if let (Some(key), Some(dst)) = (ExprKey::of(op), op_dst(op)) {
+                    let temps = key.read_temps();
+                    if !temps.contains(&dst) {
+                        class = *classes.entry(key).or_insert_with(|| class_facts.open());
+                        if du.single_def(dst) == Some((bi, oi)) {
+                            fact = fact_site.len() as u32;
+                            class_facts.push(class, fact);
+                            fact_site.push(site);
+                            fact_holder.push(dst);
+                            reads.extend(temps.iter().map(|&t| (t, fact)));
+                            if let IrOp::Load { base, .. } = op {
+                                load_facts.push((fact, bases.intern(base)));
+                            }
+                        }
+                    }
+                }
+                site_class.push(class);
+                site_fact.push(fact);
+            }
+        }
+        let n = fact_site.len();
+        let base_param = bases.param_flags();
+        let mut loads = BitSet::new(n);
+        let mut param_loads = BitSet::new(n);
+        let mut loads_of = vec![BitSet::new(n); base_param.len()];
+        for &(fact, base) in &load_facts {
+            loads.insert(fact as usize);
+            loads_of[base as usize].insert(fact as usize);
+            if base_param[base as usize] {
+                param_loads.insert(fact as usize);
+            }
+        }
+        GvnFacts {
+            start,
+            site_class,
+            site_fact,
+            site_store,
+            class_facts,
+            fact_site,
+            fact_holder,
+            base_param,
+            loads,
+            param_loads,
+            loads_of,
+            by_temp: TempIndex::new(&reads),
+        }
+    }
+
+    /// The holder of the first fact in `avail` (other than op
+    /// `(b, i)`'s own) for the expression op `(b, i)` computes.
+    fn available_holder(&self, b: usize, i: usize, avail: &BitSet) -> Option<Temp> {
+        let site = self.start[b] + i;
+        let class = self.site_class[site];
+        if class == NO_ID {
+            return None;
+        }
+        self.class_facts
+            .iter(class)
+            .find(|&id| avail.contains(id) && self.fact_site[id] as usize != site)
+            .map(|id| self.fact_holder[id])
+    }
+}
+
+impl GenKill for GvnFacts {
+    fn universe(&self) -> usize {
+        self.fact_site.len()
+    }
+
+    /// Writes kill the facts whose expression reads the temp; a store
+    /// kills the load facts it may alias, a call every load fact. (A
+    /// fact's holder needs no kill: it is single-def, and its one def
+    /// *is* the gen site.)
+    fn kill(&self, b: usize, i: usize, op: &IrOp, set: &mut BitSet) {
+        dataflow::for_each_write(op, |t| self.by_temp.kill(t, set));
+        match op {
+            IrOp::Store { .. } => {
+                let base = self.site_store[self.start[b] + i] as usize;
+                if self.base_param[base] {
+                    set.subtract(&self.loads);
+                } else {
+                    set.subtract(&self.param_loads);
+                    set.subtract(&self.loads_of[base]);
+                }
+            }
+            IrOp::Call { .. } => set.subtract(&self.loads),
+            _ => {}
+        }
+    }
+
+    fn gen(&self, b: usize, i: usize) -> Option<usize> {
+        let fact = self.site_fact[self.start[b] + i];
+        (fact != NO_ID).then_some(fact as usize)
+    }
+}
+
 /// Store-to-load forwarding across block boundaries.
 ///
 /// Tracks memory facts `mem[base][index] == value` generated by stores
-/// (and by loads, whose destination then holds the cell's value) through
-/// a forward all-paths dataflow, and replaces a `Load` whose cell has a
-/// proven value on every incoming path with a copy of that value.
+/// through a forward all-paths dataflow, and replaces a `Load` whose
+/// cell has a proven value on every incoming path with a copy of that
+/// value. Loads generate no facts: a load's fact would name its own
+/// destination as the value, and a fact reading the temp an op writes
+/// is never recorded (which also rules out `t = A[t]`).
 ///
 /// A fact dies when its index/value temp (or `Param` base temp) is
 /// redefined, when a call runs (callees may write any global or
 /// by-reference array), or when an aliasing store lands on it — unless
 /// both stores address the *same* base at provably distinct constant
-/// indexes. Self-referential facts (`t = A[t]`) are never recorded.
+/// indexes.
+///
+/// The facts ([`LoadFwdFacts`]) are built once per call and solved on
+/// block summaries by [`dataflow::availability`].
 ///
 /// Returns `true` if anything changed.
 pub fn load_fwd(f: &mut IrFunction) -> bool {
-    // 1. The fact universe, in deterministic first-encounter order.
-    type Fact = (MemBase, Operand, Operand);
-    let fact_of = |op: &IrOp| -> Option<Fact> {
-        match op {
-            IrOp::Store { base, index, value } => Some((base.clone(), *index, *value)),
-            IrOp::Load { dst, base, index } => Some((base.clone(), *index, Operand::Temp(*dst))),
-            _ => None,
-        }
-    };
-    // Temps a fact reads: redefinition invalidates it.
-    let fact_temps = |(base, index, value): &Fact| -> Vec<Temp> {
-        let mut out = Vec::new();
-        if let MemBase::Param(t) = base {
-            out.push(*t);
-        }
-        for o in [index, value] {
-            if let Operand::Temp(t) = o {
-                out.push(*t);
-            }
-        }
-        out
-    };
-    // A load's own fact is unusable when it reads the destination.
-    let valid = |op: &IrOp, fact: &Fact| -> bool {
-        match op {
-            IrOp::Load { dst, .. } => !fact_temps(fact).contains(dst),
-            _ => true,
-        }
-    };
-    let mut fact_id: HashMap<Fact, usize> = HashMap::new();
-    let mut facts: Vec<Fact> = Vec::new();
-    for b in &f.blocks {
-        for op in &b.ops {
-            let Some(fact) = fact_of(op) else { continue };
-            if !valid(op, &fact) {
-                continue;
-            }
-            fact_id.entry(fact.clone()).or_insert_with(|| {
-                facts.push(fact);
-                facts.len() - 1
-            });
-        }
-    }
-    let n = facts.len();
-    if n == 0 {
+    let facts = LoadFwdFacts::build(f);
+    if facts.universe() == 0 {
         return false;
     }
-    let mut killed_by_temp: HashMap<Temp, Vec<usize>> = HashMap::new();
-    for (id, fact) in facts.iter().enumerate() {
-        for t in fact_temps(fact) {
-            killed_by_temp.entry(t).or_default().push(id);
-        }
-    }
-    // Does a store to `(sb, si)` kill the fact about `(fb, fi)`? Not
-    // when both name the same base at distinct constant indexes.
-    let store_kills = |sb: &MemBase, si: &Operand, (fb, fi, _): &Fact| -> bool {
-        if !may_alias(sb, fb) {
-            return false;
-        }
-        !(sb == fb && matches!((si, fi), (Operand::Const(a), Operand::Const(b)) if a != b))
-    };
-    let apply = |op: &IrOp, avail: &mut BitSet| {
-        dataflow::for_each_write(op, |t| {
-            for &id in killed_by_temp.get(&t).map_or(&[][..], |v| v) {
-                avail.remove(id);
-            }
-        });
-        match op {
-            IrOp::Store { base, index, .. } => {
-                for (id, fact) in facts.iter().enumerate() {
-                    if store_kills(base, index, fact) {
-                        avail.remove(id);
-                    }
-                }
-            }
-            IrOp::Call { .. } => {
-                *avail = BitSet::new(n);
-            }
-            _ => {}
-        }
-        if let Some(fact) = fact_of(op) {
-            if valid(op, &fact) {
-                avail.insert(fact_id[&fact]);
-            }
-        }
-    };
-    // 2. Forward all-paths fixpoint (entry = ∅, meet = intersection).
-    let nb = f.blocks.len();
     let rpo = teamplay_minic::cfg::reverse_postorder(f);
     let preds = teamplay_minic::cfg::predecessors(f);
-    let mut avail_in: Vec<BitSet> = (0..nb).map(|_| BitSet::full(n)).collect();
-    let mut avail_out: Vec<BitSet> = (0..nb).map(|_| BitSet::full(n)).collect();
-    avail_in[0] = BitSet::new(n);
-    loop {
-        let mut changed = false;
-        for &b in &rpo {
-            if b != 0 {
-                let mut inn = BitSet::full(n);
-                for &p in &preds[b] {
-                    inn.intersect_with(&avail_out[p]);
-                }
-                changed |= avail_in[b] != inn;
-                avail_in[b] = inn;
-            }
-            let mut out = avail_in[b].clone();
-            for op in &f.blocks[b].ops {
-                apply(op, &mut out);
-            }
-            changed |= avail_out[b] != out;
-            avail_out[b] = out;
-        }
-        if !changed {
-            break;
-        }
-    }
-    // 3. Replacement walk: a load whose cell has an available fact
-    //    becomes a copy of the proven value. The transfer keeps the
-    //    original load semantics (its own fact still holds — the copy
-    //    leaves `dst` equal to the cell).
+    let avail_in = availability::available_in(f, &rpo, &preds, &facts);
+    // Replacement walk: a load whose cell has an available fact becomes
+    // a copy of the proven value. The transfer keeps the original load
+    // semantics (the copy leaves `dst` equal to the cell).
     let mut changed = false;
     for &b in &rpo {
         let mut cur = avail_in[b].clone();
         for oi in 0..f.blocks[b].ops.len() {
-            let op = f.blocks[b].ops[oi].clone();
-            if let IrOp::Load { dst, base, index } = &op {
-                let known = cur.iter().find_map(|id| {
-                    let (fb, fi, value) = &facts[id];
-                    (fb == base && fi == index).then_some(*value)
-                });
-                if let Some(value) = known {
-                    if value != Operand::Temp(*dst) {
-                        f.blocks[b].ops[oi] = IrOp::Copy {
-                            dst: *dst,
-                            src: value,
-                        };
-                        changed = true;
-                    }
-                }
+            let op = &f.blocks[b].ops[oi];
+            let copy = match op {
+                IrOp::Load { dst, .. } => facts
+                    .available_value(b, oi, &cur)
+                    .filter(|v| *v != Operand::Temp(*dst))
+                    .map(|src| IrOp::Copy { dst: *dst, src }),
+                _ => None,
+            };
+            facts.transfer(b, oi, op, &mut cur);
+            if let Some(copy) = copy {
+                f.blocks[b].ops[oi] = copy;
+                changed = true;
             }
-            apply(&op, &mut cur);
         }
     }
     changed
+}
+
+/// The fact universe of [`load_fwd`]: one fact per distinct store
+/// `(base, index, value)` triple, in first-encounter order. Bases are
+/// interned to small ids and every load and store is filed under its
+/// `(base, index)` cell once here; the transfers then run on dense
+/// tables and per-base bit masks.
+#[derive(Debug)]
+pub struct LoadFwdFacts {
+    /// First flat site of each block.
+    start: Vec<usize>,
+    /// Per site: the cell a load or store addresses, else `NO_ID`.
+    site_cell: Vec<u32>,
+    /// Per site: the fact a store generates, else `NO_ID`.
+    site_fact: Vec<u32>,
+    /// Per cell: its interned base, whether its index is constant, and
+    /// its facts.
+    cell_base: Vec<u32>,
+    cell_const: Vec<bool>,
+    cell_facts: FactLists,
+    /// Per fact: the value the cell holds.
+    fact_value: Vec<Operand>,
+    /// Per interned base: whether it is a `Param` array.
+    base_param: Vec<bool>,
+    /// Facts through `Param` bases; per base, its facts at constant and
+    /// at non-constant indexes.
+    param_facts: BitSet,
+    const_of: Vec<BitSet>,
+    nonconst_of: Vec<BitSet>,
+    by_temp: TempIndex,
+}
+
+impl LoadFwdFacts {
+    /// The universe of `f`.
+    pub fn build(f: &IrFunction) -> LoadFwdFacts {
+        let sites: usize = f.blocks.iter().map(|b| b.ops.len()).sum();
+        let mut start = Vec::with_capacity(f.blocks.len());
+        let mut site_cell = Vec::with_capacity(sites);
+        let mut site_fact = Vec::with_capacity(sites);
+        let mut cells: HashMap<(u32, Operand), u32> = HashMap::new();
+        let (mut cell_base, mut cell_const) = (Vec::new(), Vec::new());
+        let mut cell_facts = FactLists::default();
+        let (mut fact_value, mut fact_cell) = (Vec::new(), Vec::new());
+        let mut reads: Vec<(Temp, u32)> = Vec::new();
+        let mut bases = BaseIds::default();
+        for b in &f.blocks {
+            start.push(site_cell.len());
+            for op in &b.ops {
+                let (IrOp::Load { base, index, .. } | IrOp::Store { base, index, .. }) = op else {
+                    site_cell.push(NO_ID);
+                    site_fact.push(NO_ID);
+                    continue;
+                };
+                let base_id = bases.intern(base);
+                let cell = *cells.entry((base_id, *index)).or_insert_with(|| {
+                    cell_base.push(base_id);
+                    cell_const.push(matches!(index, Operand::Const(_)));
+                    cell_facts.open()
+                });
+                let mut fact = NO_ID;
+                if let IrOp::Store { value, .. } = op {
+                    let known = cell_facts.iter(cell).find(|&id| fact_value[id] == *value);
+                    fact = match known {
+                        Some(id) => id as u32,
+                        None => {
+                            let id = fact_value.len() as u32;
+                            cell_facts.push(cell, id);
+                            fact_value.push(*value);
+                            fact_cell.push(cell);
+                            if let MemBase::Param(t) = base {
+                                reads.push((*t, id));
+                            }
+                            for o in [index, value] {
+                                if let Operand::Temp(t) = o {
+                                    reads.push((*t, id));
+                                }
+                            }
+                            id
+                        }
+                    };
+                }
+                site_cell.push(cell);
+                site_fact.push(fact);
+            }
+        }
+        let n = fact_value.len();
+        let base_param = bases.param_flags();
+        let mut param_facts = BitSet::new(n);
+        let mut const_of = vec![BitSet::new(n); base_param.len()];
+        let mut nonconst_of = vec![BitSet::new(n); base_param.len()];
+        for (id, &cell) in fact_cell.iter().enumerate() {
+            let base = cell_base[cell as usize] as usize;
+            if base_param[base] {
+                param_facts.insert(id);
+            }
+            if cell_const[cell as usize] {
+                const_of[base].insert(id);
+            } else {
+                nonconst_of[base].insert(id);
+            }
+        }
+        LoadFwdFacts {
+            start,
+            site_cell,
+            site_fact,
+            cell_base,
+            cell_const,
+            cell_facts,
+            fact_value,
+            base_param,
+            param_facts,
+            const_of,
+            nonconst_of,
+            by_temp: TempIndex::new(&reads),
+        }
+    }
+
+    /// The value of the first fact in `avail` on the cell load or store
+    /// `(b, i)` addresses.
+    fn available_value(&self, b: usize, i: usize, avail: &BitSet) -> Option<Operand> {
+        let cell = self.site_cell[self.start[b] + i];
+        if cell == NO_ID {
+            return None;
+        }
+        self.cell_facts
+            .iter(cell)
+            .find(|&id| avail.contains(id))
+            .map(|id| self.fact_value[id])
+    }
+}
+
+impl GenKill for LoadFwdFacts {
+    fn universe(&self) -> usize {
+        self.fact_value.len()
+    }
+
+    /// Writes kill the facts reading the temp and calls kill every
+    /// fact. A store may write any cell a `Param` base names; a store
+    /// through a `Param` base may write any cell at all. Either way it
+    /// spares its own base's facts at other constant indexes when its
+    /// index is a constant too.
+    fn kill(&self, b: usize, i: usize, op: &IrOp, set: &mut BitSet) {
+        dataflow::for_each_write(op, |t| self.by_temp.kill(t, set));
+        match op {
+            IrOp::Store { .. } => {
+                let cell = self.site_cell[self.start[b] + i];
+                let base = self.cell_base[cell as usize] as usize;
+                let constant = self.cell_const[cell as usize];
+                if self.base_param[base] {
+                    if !constant {
+                        set.clear();
+                        return;
+                    }
+                    set.intersect_with(&self.const_of[base]);
+                } else {
+                    set.subtract(&self.param_facts);
+                    set.subtract(&self.nonconst_of[base]);
+                    if !constant {
+                        set.subtract(&self.const_of[base]);
+                        return;
+                    }
+                }
+                for id in self.cell_facts.iter(cell) {
+                    set.remove(id);
+                }
+            }
+            IrOp::Call { .. } => set.clear(),
+            _ => {}
+        }
+    }
+
+    fn gen(&self, b: usize, i: usize) -> Option<usize> {
+        let fact = self.site_fact[self.start[b] + i];
+        (fact != NO_ID).then_some(fact as usize)
+    }
 }
 
 /// Exact body-execution count of a canonical counted loop, or `None`

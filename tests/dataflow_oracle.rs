@@ -9,62 +9,27 @@
 //! * **liveness** — `t` live into `b` iff some path from the start of
 //!   `b` reads `t` before writing it (checked by first-touch DFS);
 //! * **def-use** — def/use sites match a per-op rescan, and
-//!   `single_def` answers exactly the temps with one op definition.
+//!   `single_def` answers exactly the temps with one op definition;
+//! * **availability** — a fact is available at a block's entry iff, on
+//!   every path from the entry, its last gen comes after its last kill
+//!   (checked by DFS over (block, available?) states). This runs on the
+//!   `load_fwd` and `gvn` fact universes (of the general and of the
+//!   memory-heavy random kernels), whose per-op transfers the solver's
+//!   block summaries compose, and on random block-level gen/kill sets
+//!   wider than one word.
 
+mod common;
+
+use common::{app_modules, arb_kernel, arb_memory_kernel, reshaped, MEMORY_RESHAPERS, RESHAPERS};
 use proptest::prelude::*;
-use teamplay_compiler::dataflow::{for_each_read, for_each_term_read, for_each_write};
-use teamplay_compiler::{DefUse, DomTree, Liveness, PassManager};
-use teamplay_minic::cfg::CfgView;
-use teamplay_minic::compile_to_ir;
+use teamplay_compiler::dataflow::availability::{available_in, solve};
+use teamplay_compiler::dataflow::{
+    for_each_read, for_each_term_read, for_each_write, BitSet, GenKill,
+};
+use teamplay_compiler::passes::{GvnFacts, LoadFwdFacts};
+use teamplay_compiler::{DefUse, DomTree, Liveness};
+use teamplay_minic::cfg::{self, CfgView};
 use teamplay_minic::ir::{IrFunction, Temp};
-
-/// Small Mini-C kernels with branches, a bounded loop, array traffic
-/// and a helper call — enough to exercise every analysis shape.
-fn arb_kernel() -> impl Strategy<Value = String> {
-    let leaf = prop_oneof![
-        (-50i32..50).prop_map(|v| v.to_string()),
-        Just("x".to_string()),
-        Just("y".to_string()),
-        Just("acc".to_string()),
-    ];
-    let op = prop_oneof![Just("+"), Just("-"), Just("*"), Just("&"), Just("^")];
-    let expr = (leaf.clone(), op, leaf).prop_map(|(a, op, b)| format!("(({a}) {op} ({b}))"));
-    (
-        proptest::collection::vec(expr, 1..4),
-        2u32..7,
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(|(exprs, bound, with_if, with_call)| {
-            let mut body = String::from("int acc = x ^ 5;\n");
-            if with_if {
-                body.push_str("    if (y > 0) { acc = acc + y; } else { acc = acc - 1; }\n");
-            }
-            body.push_str(&format!(
-                "    for (int i = 0; i < {bound}; i = i + 1) {{ buf[i % 8] = acc; acc = acc + buf[(i + 3) % 8] + i; }}\n"
-            ));
-            for (k, e) in exprs.iter().enumerate() {
-                body.push_str(&format!("    acc = acc ^ ({e}) * {};\n", k as i32 + 1));
-            }
-            if with_call {
-                body.push_str("    acc = acc + twist(acc, y);\n");
-            }
-            format!(
-                "int buf[8];\n\
-                 int twist(int a, int b) {{ return (a << 1) ^ (b & 0xFF); }}\n\
-                 int f(int x, int y) {{\n    {body}\n    return acc;\n}}"
-            )
-        })
-}
-
-/// Pipelines that reshape the CFG in different ways before the oracle
-/// runs, so the analyses face more than front-end-shaped graphs.
-const RESHAPERS: [&str; 4] = [
-    "",
-    "const_fold,copy_prop,dce",
-    "inline(40),licm,cse,const_fold,dce",
-    "unroll(4),block_layout,const_fold,copy_prop,dce",
-];
 
 /// Blocks reachable from the entry, optionally pretending `skip` and
 /// its out-edges are deleted.
@@ -190,6 +155,136 @@ fn oracle_check(f: &IrFunction) {
     }
 }
 
+/// Naive path-based availability of one fact at every block entry,
+/// given each block's net effect on it (`Some(true)` = generated last,
+/// `Some(false)` = killed last, `None` = transparent): the fact is
+/// unavailable at `b` iff some path from the entry — where nothing is
+/// available — reaches `b` with it unavailable.
+fn naive_available(f: &IrFunction, effect: &[Option<bool>]) -> Vec<bool> {
+    let n = f.blocks.len();
+    let mut seen = vec![[false; 2]; n];
+    let mut stack = vec![(0usize, false)];
+    seen[0][0] = true;
+    while let Some((b, avail)) = stack.pop() {
+        let out = effect[b].unwrap_or(avail);
+        for s in f.successors(b) {
+            if !seen[s][usize::from(out)] {
+                seen[s][usize::from(out)] = true;
+                stack.push((s, out));
+            }
+        }
+    }
+    seen.iter().map(|s| !s[0]).collect()
+}
+
+/// The solver on a pass's fact universe against the path definition,
+/// replaying every op's transfer on the single fact.
+fn availability_check(f: &IrFunction, label: &str, facts: &dyn GenKill) {
+    let rpo = cfg::reverse_postorder(f);
+    let preds = cfg::predecessors(f);
+    let n = facts.universe();
+    let avail_in = available_in(f, &rpo, &preds, facts);
+    for x in 0..n {
+        let effect: Vec<Option<bool>> = f
+            .blocks
+            .iter()
+            .enumerate()
+            .map(|(b, blk)| {
+                let mut last = None;
+                for (i, op) in blk.ops.iter().enumerate() {
+                    let mut only = BitSet::new(n);
+                    only.insert(x);
+                    facts.kill(b, i, op, &mut only);
+                    if !only.contains(x) {
+                        last = Some(false);
+                    }
+                    if facts.gen(b, i) == Some(x) {
+                        last = Some(true);
+                    }
+                }
+                last
+            })
+            .collect();
+        for (b, expect) in naive_available(f, &effect).into_iter().enumerate() {
+            assert_eq!(
+                avail_in[b].contains(x),
+                expect,
+                "{}: {label} fact {x} at block {b} disagrees with the path oracle",
+                f.name
+            );
+        }
+    }
+}
+
+/// The raw solver on seeded random block gen/kill sets over 70 facts
+/// (two words), on `f`'s CFG.
+fn random_summary_check(f: &IrFunction, seed: u64) {
+    const FACTS: usize = 70;
+    let mut state = seed | 1;
+    let mut draw = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut gen = Vec::new();
+    let mut kill = Vec::new();
+    for _ in &f.blocks {
+        let (mut g, mut k) = (BitSet::new(FACTS), BitSet::new(FACTS));
+        for x in 0..FACTS {
+            match draw() % 4 {
+                0 => {
+                    g.insert(x);
+                }
+                1 => {
+                    k.insert(x);
+                }
+                2 => {
+                    // Killed, then generated again later in the block.
+                    g.insert(x);
+                    k.insert(x);
+                }
+                _ => {}
+            }
+        }
+        gen.push(g);
+        kill.push(k);
+    }
+    let avail_in = solve(
+        &cfg::reverse_postorder(f),
+        &cfg::predecessors(f),
+        &gen,
+        &kill,
+    );
+    for x in 0..FACTS {
+        let effect: Vec<Option<bool>> = (0..f.blocks.len())
+            .map(|b| {
+                if gen[b].contains(x) {
+                    Some(true)
+                } else if kill[b].contains(x) {
+                    Some(false)
+                } else {
+                    None
+                }
+            })
+            .collect();
+        for (b, expect) in naive_available(f, &effect).into_iter().enumerate() {
+            assert_eq!(
+                avail_in[b].contains(x),
+                expect,
+                "{}: random fact {x} at block {b} disagrees with the path oracle",
+                f.name
+            );
+        }
+    }
+}
+
+fn availability_checks(f: &IrFunction, seed: u64) {
+    availability_check(f, "load_fwd", &LoadFwdFacts::build(f));
+    availability_check(f, "gvn", &GvnFacts::build(f, &DefUse::build(f)));
+    random_summary_check(f, seed);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -198,15 +293,33 @@ proptest! {
         src in arb_kernel(),
         reshape in 0usize..RESHAPERS.len(),
     ) {
-        let mut module = compile_to_ir(&src).expect("generated kernels lower");
-        let pipeline = RESHAPERS[reshape];
-        if !pipeline.is_empty() {
-            let mut pm = PassManager::from_str(pipeline).expect("reshaper parses");
-            pm.run(&mut module);
-            module.validate().expect("valid after reshaping");
-        }
+        let module = reshaped(&src, RESHAPERS[reshape]);
         for f in &module.functions {
             oracle_check(f);
+        }
+    }
+
+    #[test]
+    fn availability_agrees_with_the_path_definition(
+        src in arb_kernel(),
+        reshape in 0usize..RESHAPERS.len(),
+        seed in any::<u64>(),
+    ) {
+        let module = reshaped(&src, RESHAPERS[reshape]);
+        for f in &module.functions {
+            availability_checks(f, seed);
+        }
+    }
+
+    #[test]
+    fn availability_agrees_on_memory_heavy_kernels(
+        src in arb_memory_kernel(),
+        reshape in 0usize..MEMORY_RESHAPERS.len(),
+        seed in any::<u64>(),
+    ) {
+        let module = reshaped(&src, MEMORY_RESHAPERS[reshape]);
+        for f in &module.functions {
+            availability_checks(f, seed);
         }
     }
 }
@@ -215,25 +328,19 @@ proptest! {
 /// with nested loops and calls, before and after their tuned pipelines.
 #[test]
 fn packed_analyses_agree_on_the_app_kernels() {
-    for (app, src) in [
-        ("camera_pill", teamplay_apps::camera_pill::SOURCE),
-        ("spacewire", teamplay_apps::spacewire::SOURCE),
-        ("uav", teamplay_apps::uav::DETECT_KERNEL_SOURCE),
-        ("parking", teamplay_apps::parking::CONV_KERNEL_SOURCE),
-    ] {
-        let module = compile_to_ir(src).expect("kernel compiles");
+    for (_, module) in app_modules() {
         for f in &module.functions {
             oracle_check(f);
         }
-        let (_, tuned) = teamplay_apps::recommended_pipelines()
-            .into_iter()
-            .find(|(a, _)| *a == app)
-            .expect("every app has a tuned pipeline");
-        let mut optimised = compile_to_ir(src).expect("kernel compiles");
-        let mut pm = PassManager::from_str(tuned).expect("tuned pipelines parse");
-        pm.run(&mut optimised);
-        for f in &optimised.functions {
-            oracle_check(f);
+    }
+}
+
+/// The availability oracle on the app kernels, raw and tuned.
+#[test]
+fn availability_agrees_on_the_app_kernels() {
+    for (k, (_, module)) in app_modules().into_iter().enumerate() {
+        for f in &module.functions {
+            availability_checks(f, k as u64 + 1);
         }
     }
 }
