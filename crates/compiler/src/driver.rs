@@ -23,18 +23,25 @@
 //!    from per-function content-hash memos instead of re-solving IPET.
 //! 3. **[`DiskStore`](crate::store::DiskStore)** (persistent,
 //!    content-addressed): an optional bottom tier
-//!    ([`EvalCache::with_store`]) that spills every evaluation —
-//!    including *infeasible* ones — to a directory keyed by a versioned
-//!    hash of the IR, both cost models, and the configuration. A fresh
-//!    process (or a [`compile_many`](crate::service::compile_many)
-//!    batch) warm-starts from it and skips compilation entirely; stale
+//!    ([`EvalCache::with_store`]) that spills the metrics of every
+//!    evaluation — including *infeasible* ones — to a directory keyed by
+//!    a versioned hash of the IR, both cost models, and the
+//!    configuration. A fresh process (or a
+//!    [`compile_many`](crate::service::compile_many) batch) warm-starts
+//!    from it and scores every configuration without compiling; stale
 //!    poisoning is impossible because any input change moves the key.
+//!    Entries hold metrics only: loading a stored ~92 KB program cost
+//!    more than compiling it, and a search needs programs just for the
+//!    variants it returns. Those are rebuilt on demand
+//!    ([`EvalCache::program`]: passes and codegen, no analysis), once
+//!    per configuration.
 //!
 //! Tier-1/2 counters surface as `cache_hits`/`cache_misses` and tier-3
 //! counters as `disk_hits`/`disk_misses` in
 //! [`SearchStats`](crate::fpa::SearchStats): `disk_hits + disk_misses
 //! == cache_misses` when a store is attached, and `disk_misses` is the
-//! number of actual compiles.
+//! number of actual compiles. `program_builds` counts the on-demand
+//! program rebuilds after disk hits (0 on a cold store).
 
 use crate::codegen::{generate_program, generate_program_with, CodegenError, CodegenOpts};
 use crate::fpa::{FpaConfig, MultiObjectiveFpa, ParetoPoint, SearchStats};
@@ -529,6 +536,13 @@ pub fn evaluate_module_memo(
 /// probed, whatever the pool width. Failed evaluations are cached as
 /// `None` (infeasible), so repeated failures are free too.
 ///
+/// Each entry holds the configuration's [`ModuleMetrics`] plus a
+/// program slot. A compile in this process fills the slot with the
+/// program it just built; an entry answered from the disk store starts
+/// with an empty slot, which [`EvalCache::program`] fills on first use.
+/// A search therefore scores every configuration on metrics alone and
+/// builds programs only for the variants it returns.
+///
 /// With [`EvalCache::with_store`] the cache additionally spills to (and
 /// warm-starts from) a persistent [`DiskStore`]: an in-memory miss first
 /// probes the store under a content-addressed key before compiling, and
@@ -538,7 +552,7 @@ pub struct EvalCache<'a> {
     ir: &'a IrModule,
     cycle_model: &'a CycleModel,
     energy_model: &'a IsaEnergyModel,
-    entries: Mutex<HashMap<CompilerConfig, Arc<OnceLock<Option<CachedEval>>>>>,
+    entries: Mutex<HashMap<CompilerConfig, EvalSlot>>,
     /// Per-function WCET/WCEC memos shared by every configuration this
     /// cache evaluates (a second memoization layer *below* the
     /// config-keyed one: distinct configs mostly recompile identical
@@ -554,11 +568,22 @@ pub struct EvalCache<'a> {
     misses: AtomicUsize,
     disk_hits: AtomicUsize,
     disk_misses: AtomicUsize,
+    program_builds: AtomicUsize,
 }
 
-/// One memoized evaluation: the compiled program (shared, never
-/// deep-cloned) and its module metrics.
-pub type CachedEval = (Arc<Program>, ModuleMetrics);
+/// One config's entry: set once by the probe that evaluates it; `None`
+/// records an infeasible configuration.
+type EvalSlot = Arc<OnceLock<Option<Arc<Evaluation>>>>;
+
+/// One memoized feasible evaluation: the module metrics, and the
+/// compiled program once something has built it.
+struct Evaluation {
+    metrics: ModuleMetrics,
+    /// Filled at creation after a compile in this process; after a disk
+    /// hit, filled by [`EvalCache::program`] on first use (`None` if
+    /// that rebuild fails).
+    program: OnceLock<Option<Arc<Program>>>,
+}
 
 impl<'a> EvalCache<'a> {
     /// An empty cache over one module and platform pair.
@@ -579,6 +604,7 @@ impl<'a> EvalCache<'a> {
             misses: AtomicUsize::new(0),
             disk_hits: AtomicUsize::new(0),
             disk_misses: AtomicUsize::new(0),
+            program_builds: AtomicUsize::new(0),
         }
     }
 
@@ -603,9 +629,49 @@ impl<'a> EvalCache<'a> {
         cache
     }
 
-    /// [`evaluate_module`] through the cache. `None` means the
-    /// configuration is infeasible (codegen or analysis failed).
-    pub fn evaluate(&self, config: &CompilerConfig) -> Option<CachedEval> {
+    /// [`evaluate_module`] through the cache: the module metrics, or
+    /// `None` when the configuration is infeasible (codegen or analysis
+    /// failed). The first element is the compiled program if this
+    /// process has built it already — always after a compile here, and
+    /// after a disk hit only once [`EvalCache::program`] has rebuilt it.
+    /// Callers that need the program call [`EvalCache::program`].
+    pub fn evaluate(
+        &self,
+        config: &CompilerConfig,
+    ) -> Option<(Option<Arc<Program>>, ModuleMetrics)> {
+        let (entry, computed) = self.entry(config);
+        if !computed {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        let entry = entry?;
+        Some((
+            entry.program.get().cloned().flatten(),
+            entry.metrics.clone(),
+        ))
+    }
+
+    /// The compiled program of `config`, or `None` when the
+    /// configuration is infeasible. Evaluates `config` first if nothing
+    /// has yet (counted like an [`EvalCache::evaluate`] miss); a lookup
+    /// of an evaluated configuration counts as no cache hit. When the
+    /// metrics came from disk, the program is compiled here on first
+    /// use — passes and codegen only, the metrics are known — exactly
+    /// once at any pool width; [`EvalCache::program_builds`] counts
+    /// these rebuilds.
+    pub fn program(&self, config: &CompilerConfig) -> Option<Arc<Program>> {
+        let entry = self.entry(config).0?;
+        entry
+            .program
+            .get_or_init(|| {
+                self.program_builds.fetch_add(1, Ordering::Relaxed);
+                compile_module(self.ir, config).ok().map(Arc::new)
+            })
+            .clone()
+    }
+
+    /// The entry of `config`, evaluated through the tiers on its first
+    /// probe, and whether this call was that probe.
+    fn entry(&self, config: &CompilerConfig) -> (Option<Arc<Evaluation>>, bool) {
         let cell = {
             let mut entries = self.entries.lock().expect("eval cache lock");
             entries
@@ -614,9 +680,9 @@ impl<'a> EvalCache<'a> {
                 .clone()
         };
         let mut computed = false;
-        let mut from_disk = false;
         let value = cell.get_or_init(|| {
             computed = true;
+            self.misses.fetch_add(1, Ordering::Relaxed);
             let compute = || {
                 evaluate_module_memo(
                     self.ir,
@@ -626,36 +692,32 @@ impl<'a> EvalCache<'a> {
                     &self.memo,
                 )
                 .ok()
-                .map(|(program, metrics)| (Arc::new(program), metrics))
+                .map(|(program, metrics)| Evaluation {
+                    metrics,
+                    program: OnceLock::from(Some(Arc::new(program))),
+                })
             };
-            match self.disk {
+            let evaluation = match self.disk {
                 Some(disk) => {
                     let key = store::hash_json(self.key_prefix, config);
                     if let Some(found) = disk.load(key) {
-                        from_disk = true;
-                        found
+                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                        found.map(|metrics| Evaluation {
+                            metrics,
+                            program: OnceLock::new(),
+                        })
                     } else {
+                        self.disk_misses.fetch_add(1, Ordering::Relaxed);
                         let fresh = compute();
-                        disk.store(key, &fresh);
+                        disk.store(key, fresh.as_ref().map(|e| &e.metrics));
                         fresh
                     }
                 }
                 None => compute(),
-            }
+            };
+            evaluation.map(Arc::new)
         });
-        if computed {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            if self.disk.is_some() {
-                if from_disk {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        value.clone()
+        (value.clone(), computed)
     }
 
     /// Lookups answered without compiling (including waits on another
@@ -681,6 +743,13 @@ impl<'a> EvalCache<'a> {
     /// to the disk store (always 0 without [`EvalCache::with_store`]).
     pub fn disk_misses(&self) -> usize {
         self.disk_misses.load(Ordering::Relaxed)
+    }
+
+    /// Programs [`EvalCache::program`] compiled for configurations
+    /// whose metrics came from disk (always 0 without a store: a
+    /// compile in this process keeps its program).
+    pub fn program_builds(&self) -> usize {
+        self.program_builds.load(Ordering::Relaxed)
     }
 
     /// The per-function analysis memos this cache's evaluations share
@@ -818,6 +887,7 @@ pub(crate) fn copy_cache_counters(stats: &mut SearchStats, cache: &EvalCache<'_>
     stats.cache_misses = cache.misses();
     stats.disk_hits = cache.disk_hits();
     stats.disk_misses = cache.disk_misses();
+    stats.program_builds = cache.program_builds();
 }
 
 /// [`pareto_search_on`] against a caller-owned [`EvalCache`], so the
@@ -877,8 +947,10 @@ pub fn pareto_search_with_cache_seeded(
             continue;
         }
         // Every archived point was evaluated during the search, so this
-        // is a guaranteed cache hit — no recompilation.
-        let Some((program, metrics)) = cache.evaluate(&config) else {
+        // is a guaranteed cache hit — no re-analysis. The program is
+        // the one compiled here, or rebuilt once after a disk hit.
+        let (Some((_, metrics)), Some(program)) = (cache.evaluate(&config), cache.program(&config))
+        else {
             continue;
         };
         let m = *metrics.of(task).expect("task analysed");
@@ -1414,7 +1486,7 @@ mod tests {
             let second = cache.evaluate(&config);
             match (direct, first, second) {
                 (Some((dp, dm)), Some((p1, m1)), Some((p2, m2))) => {
-                    proptest::prop_assert!(dp == *p1 && *p1 == *p2, "programs diverged for {config:?}");
+                    proptest::prop_assert!(p1.as_deref() == Some(&dp) && p1 == p2, "programs diverged for {config:?}");
                     proptest::prop_assert_eq!(&dm, &m1);
                     proptest::prop_assert_eq!(&m1, &m2);
                 }

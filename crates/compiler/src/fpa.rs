@@ -138,6 +138,10 @@ pub struct SearchStats {
     /// back to the disk store (0 when no store is attached; equals
     /// `cache_misses` on a fully cold store).
     pub disk_misses: usize,
+    /// Programs rebuilt on demand for configurations whose metrics came
+    /// from the disk store — the returned variants of a warm search (0
+    /// without a store, and on a cold one).
+    pub program_builds: usize,
 }
 
 /// Search outcome.

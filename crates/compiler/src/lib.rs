@@ -45,9 +45,10 @@
 //!   joins the objective vector, yielding time/energy/leakage Pareto
 //!   fronts ([`secure::pareto_search_secure_on`]),
 //! * [`store`] — the content-addressed on-disk evaluation store that
-//!   lets searches warm-start across processes (keys commit to the IR,
-//!   the cost models and a format version, so stale entries are
-//!   unreachable by construction),
+//!   lets searches warm-start across processes (entries hold metrics
+//!   only; keys commit to the IR, the cost models and a format version,
+//!   so stale entries are unreachable by construction, and a checksum
+//!   turns damaged entries into misses),
 //! * [`service`] — the batched [`service::compile_many`] front-end:
 //!   many module+contract jobs, deduplicated by content hash and
 //!   sharded across the pool with one shared persistent store.
@@ -77,7 +78,7 @@ pub use driver::{
     compile_module, compile_module_per_function, compile_module_per_function_on, evaluate_module,
     evaluate_module_memo, pareto_front_for, pareto_search, pareto_search_on,
     pareto_search_with_cache, pareto_search_with_cache_seeded, pareto_search_with_store,
-    AnalysisMemo, CachedEval, CompilerConfig, EvalCache, ModuleMetrics, ParetoFront, TaskVariant,
+    AnalysisMemo, CompilerConfig, EvalCache, ModuleMetrics, ParetoFront, TaskVariant,
     VariantMetrics, VariantSecurity,
 };
 pub use fpa::{FpaConfig, FpaOutcome, MultiObjectiveFpa, ParetoPoint, SearchStats};

@@ -176,7 +176,17 @@ impl<'a> LeakMemo<'a> {
         memo
     }
 
-    fn score(&self, rung: u32, config: &CompilerConfig, program: &Program) -> Option<f64> {
+    /// The leakage score of (rung, config), measured on the program
+    /// `program` yields. The program is requested only when the score
+    /// is neither memoized nor stored, so a warm store never compiles
+    /// for a score it already holds.
+    fn score(
+        &self,
+        rung: u32,
+        config: &CompilerConfig,
+        program: impl FnOnce() -> Option<Arc<Program>>,
+    ) -> Option<f64> {
+        let measure = || leak_score(&*program()?, self.task, self.rig);
         let cell = {
             let mut entries = self.entries.lock().expect("leak memo lock");
             entries
@@ -190,12 +200,12 @@ impl<'a> LeakMemo<'a> {
                 if let Some(found) = disk.load_score(key) {
                     found
                 } else {
-                    let fresh = leak_score(program, self.task, self.rig);
-                    disk.store_score(key, &fresh);
+                    let fresh = measure();
+                    disk.store_score(key, fresh);
                     fresh
                 }
             }
-            None => leak_score(program, self.task, self.rig),
+            None => measure(),
         })
     }
 }
@@ -271,9 +281,10 @@ fn search(
     let outcome = fpa.run_on_seeded(pool, SECURE_GENOME_DIMS, seed, &[], |genome| {
         let rung = rung_of_genome(genome);
         let config = CompilerConfig::from_genome(genome);
-        let (program, metrics) = caches[rung as usize].evaluate(&config)?;
+        let cache = &caches[rung as usize];
+        let (_, metrics) = cache.evaluate(&config)?;
         let m = metrics.of(task)?;
-        let leakage = memo.score(rung, &config, &program)?;
+        let leakage = memo.score(rung, &config, || cache.program(&config))?;
         Some(vec![
             m.wcet_cycles as f64,
             m.wcec_pj,
@@ -294,12 +305,16 @@ fn search(
             continue;
         }
         // Archived points were all evaluated during the search — cache
-        // hits and memo replays, no recompiles or re-simulations.
-        let Some((program, metrics)) = caches[rung as usize].evaluate(&config) else {
+        // hits and memo replays, no re-analyses or re-simulations. The
+        // program is the one compiled here, or rebuilt once after a
+        // disk hit.
+        let cache = &caches[rung as usize];
+        let (Some((_, metrics)), Some(program)) = (cache.evaluate(&config), cache.program(&config))
+        else {
             continue;
         };
         let m = *metrics.of(task).expect("task analysed");
-        let Some(leakage) = memo.score(rung, &config, &program) else {
+        let Some(leakage) = memo.score(rung, &config, || Some(program.clone())) else {
             continue;
         };
         debug_assert_eq!(m.wcet_cycles as f64, objectives[0]);
@@ -327,6 +342,7 @@ fn search(
     stats.cache_misses += caches[1].misses();
     stats.disk_hits += caches[1].disk_hits();
     stats.disk_misses += caches[1].disk_misses();
+    stats.program_builds += caches[1].program_builds();
 
     ParetoFront { variants, stats }
 }
@@ -475,9 +491,19 @@ mod tests {
         let cold = run();
         assert!(cold.stats.disk_misses > 0);
         assert_eq!(cold.stats.disk_hits, 0);
+        assert_eq!(cold.stats.program_builds, 0);
         let warm = run();
         assert_eq!(warm.stats.disk_misses, 0, "everything replays from disk");
         assert_eq!(warm.stats.disk_hits, cold.stats.disk_misses);
+        // Metrics and leakage scores both come from disk, so the warm
+        // search rebuilds the programs of its front variants only: one
+        // per distinct (rung, configuration).
+        let front: std::collections::HashSet<_> = warm
+            .variants
+            .iter()
+            .map(|v| (v.security.map(|s| s.rung), &v.config))
+            .collect();
+        assert_eq!(warm.stats.program_builds, front.len());
         let bytes = |f: &ParetoFront| serde_json::to_string(&f.variants).expect("serializes");
         assert_eq!(bytes(&cold), bytes(&warm));
         let _ = std::fs::remove_dir_all(&dir);

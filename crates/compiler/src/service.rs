@@ -131,6 +131,7 @@ pub fn compile_many(
         merged.cache_misses += stats.cache_misses;
         merged.disk_hits += stats.disk_hits;
         merged.disk_misses += stats.disk_misses;
+        merged.program_builds += stats.program_builds;
         for &i in group {
             results[i] = Some(JobResult {
                 id: jobs[i].id.clone(),

@@ -492,6 +492,7 @@ impl PredictableWorkflow {
             cache_misses: cache.misses(),
             disk_hits: cache.disk_hits(),
             disk_misses: cache.disk_misses(),
+            program_builds: cache.program_builds(),
             ..SearchStats::default()
         };
         let mut variants: HashMap<String, Vec<TaskVariant>> = HashMap::new();

@@ -7,16 +7,19 @@
 //! 1. **cold** — the store starts empty; every distinct configuration
 //!    of every unique job is compiled and spilled to disk;
 //! 2. **warm** — a second batch (fresh caches, as a new process would
-//!    build) answers every evaluation from disk without compiling.
+//!    build) scores every configuration from the metrics on disk and
+//!    compiles only the programs of the front variants it returns.
 //!
 //! CI runs this example as the disk-cache exerciser: it asserts the
-//! warm batch performed zero compiles, produced byte-identical fronts,
-//! and was at least as fast as the cold batch.
+//! warm batch answered every evaluation from disk, rebuilt exactly the
+//! front programs, produced byte-identical fronts, and was at least as
+//! fast as the cold batch.
 //!
 //! ```text
 //! cargo run --release --example batch_compile
 //! ```
 
+use std::collections::HashSet;
 use std::time::Instant;
 use teamplay_compiler::{compile_many, CompileJob, DiskStore, FpaConfig};
 use teamplay_isa::CycleModel;
@@ -84,10 +87,11 @@ fn main() {
         dir.display(),
     );
     println!(
-        "  warm: {:>8.1?}  ({} disk hits, {} compiles, {:.1}x)",
+        "  warm: {:>8.1?}  ({} disk hits, {} compiles, {} front programs rebuilt, {:.1}x)",
         warm_time,
         warm.search.disk_hits,
         warm.search.disk_misses,
+        warm.search.program_builds,
         cold_time.as_secs_f64() / warm_time.as_secs_f64().max(1e-9),
     );
     for (c, w) in cold_results.iter().zip(&warm_results) {
@@ -111,10 +115,29 @@ fn main() {
         );
     }
 
-    // The CI contract: warm answered everything from disk, compiled
-    // nothing, and was at least as fast as the cold batch.
-    assert_eq!(warm.search.disk_misses, 0, "warm batch must not compile");
+    // The CI contract: warm scored every configuration from disk,
+    // rebuilt the programs of its front variants and nothing else, and
+    // was at least as fast as the cold batch. Each job searches one
+    // task of its own, so (task, configuration) pairs count the front
+    // configurations of the unique jobs.
+    assert_eq!(warm.search.disk_misses, 0, "warm batch must not evaluate");
     assert_eq!(warm.search.disk_hits, warm.search.cache_misses);
+    assert_eq!(
+        cold.search.program_builds, 0,
+        "cold batch rebuilt a program"
+    );
+    let front_configs: HashSet<_> = warm_results
+        .iter()
+        .flat_map(|r| {
+            let (task, front) = &r.fronts[0];
+            front.variants.iter().map(move |v| (task, &v.config))
+        })
+        .collect();
+    assert_eq!(
+        warm.search.program_builds,
+        front_configs.len(),
+        "warm batch must rebuild exactly the front programs"
+    );
     assert!(
         warm_time <= cold_time,
         "warm batch ({warm_time:?}) slower than cold ({cold_time:?})"

@@ -20,7 +20,7 @@
 //!   invoking codegen.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use teamplay_compiler::{
     compile_many, compile_module_per_function, compile_module_per_function_on, pareto_search_on,
     pareto_search_with_store, CompileJob, CompilerConfig, DiskStore, EvalCache, FpaConfig,
@@ -93,6 +93,11 @@ fn warm_start_serves_every_config_from_disk_and_is_byte_identical() {
     assert_eq!(cold.stats.disk_hits, 0, "fresh store cannot hit");
     assert_eq!(cold.stats.disk_misses, cold.stats.cache_misses);
     assert_eq!(cold_store.entries(), cold.stats.cache_misses);
+    // Every program the cold search returns is the one it compiled.
+    assert_eq!(
+        cold.stats.program_builds, 0,
+        "cold search rebuilt a program"
+    );
 
     // A fresh DiskStore + EvalCache pair over the same directory is
     // what a new process would construct.
@@ -117,6 +122,10 @@ fn warm_start_serves_every_config_from_disk_and_is_byte_identical() {
         front_bytes(&warm),
         "warm front must be byte-identical"
     );
+    // Scoring needs only the stored metrics: the warm search builds
+    // programs for its front configurations and nothing else.
+    let front_configs: HashSet<&CompilerConfig> = warm.variants.iter().map(|v| &v.config).collect();
+    assert_eq!(warm.stats.program_builds, front_configs.len());
     // Everything but the disk traffic replays exactly.
     assert_eq!(
         (
@@ -376,6 +385,18 @@ fn compile_many_warm_starts_from_a_shared_store() {
     let (warm_results, warm) = compile_many(&pool, &jobs, &cm, &em, Some(&warm_store));
     assert_eq!(warm.search.disk_misses, 0, "warm batch must not compile");
     assert_eq!(warm.search.disk_hits, warm.search.cache_misses);
+    assert_eq!(cold.search.program_builds, 0);
+    // One single-task job per module: the warm batch rebuilds exactly
+    // the programs of its front configurations.
+    let front_configs: usize = warm_results
+        .iter()
+        .map(|r| {
+            let configs: HashSet<&CompilerConfig> =
+                r.fronts[0].1.variants.iter().map(|v| &v.config).collect();
+            configs.len()
+        })
+        .sum();
+    assert_eq!(warm.search.program_builds, front_configs);
     for (c, w) in cold_results.iter().zip(&warm_results) {
         assert_eq!(
             front_bytes(&c.fronts[0].1),

@@ -1,7 +1,9 @@
 //! Integration: the full Fig. 1 workflow across every crate, on both
 //! shipped predictable use cases.
 
-use teamplay::predictable::{PredictableWorkflow, WorkflowConfig};
+use teamplay::predictable::{
+    MeasureConfig, PredictableOutcome, PredictableWorkflow, WorkflowConfig,
+};
 use teamplay_compiler::FpaConfig;
 use teamplay_contracts::verify_certificate;
 use teamplay_sim::{Machine, RecordingDevice};
@@ -85,4 +87,86 @@ fn workflow_binary_runs_with_machine_io() {
     dev.queue(3, [20]);
     machine.call("echo", &[], &mut dev).expect("runs");
     assert_eq!(dev.outputs, vec![(4, 41)]);
+}
+
+/// The certified artefacts of one run, serialized field by field.
+fn artefacts(outcome: &PredictableOutcome) -> [(&'static str, String); 6] {
+    let expect = |r: Result<String, serde_json::Error>| r.expect("serializes");
+    [
+        ("program", expect(serde_json::to_string(&outcome.program))),
+        ("certificate", outcome.certificate.to_json()),
+        ("schedule", expect(serde_json::to_string(&outcome.schedule))),
+        ("tasks", expect(serde_json::to_string(&outcome.tasks))),
+        (
+            "measurements",
+            expect(serde_json::to_string(&outcome.measurements)),
+        ),
+        ("glue", outcome.glue.clone()),
+    ]
+}
+
+#[test]
+fn warm_store_reruns_match_cold_and_storeless_runs() {
+    // Warm ≡ cold for the whole workflow: a run that fills a fresh
+    // store, a rerun warm-started from it (metrics from disk, front
+    // programs rebuilt on demand) and a run with no store certify
+    // byte-identical artefacts. camera_pill's constant-time task
+    // exercises ladderisation and leakage; spacewire the LEON3 target.
+    for (app, source, target) in [
+        (
+            "camera_pill",
+            teamplay_apps::camera_pill::SOURCE,
+            WorkflowConfig::pg32(),
+        ),
+        (
+            "spacewire",
+            teamplay_apps::spacewire::SOURCE,
+            WorkflowConfig::leon3(),
+        ),
+    ] {
+        for width in [1, 2] {
+            let pool = minipool::Pool::new(width);
+            let dir = std::env::temp_dir().join(format!(
+                "teamplay-workflow-warm-{}-{app}-{width}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let run = |store: Option<&std::path::Path>| {
+                let mut config = target.clone();
+                config.fpa = FpaConfig::tiny();
+                config.leakage_traces = 24;
+                config.measure = Some(MeasureConfig {
+                    runs: 4,
+                    ..MeasureConfig::standard()
+                });
+                config.store_dir = store.map(|d| d.display().to_string());
+                PredictableWorkflow::new(config)
+                    .run_on(&pool, source)
+                    .expect("workflow")
+            };
+            let fill = run(Some(&dir));
+            let warm = run(Some(&dir));
+            let storeless = run(None);
+            let _ = std::fs::remove_dir_all(&dir);
+
+            assert_eq!(fill.search.disk_hits, 0, "{app}/{width}: fresh store hit");
+            assert_eq!(fill.search.program_builds, 0, "{app}/{width}: cold rebuilt");
+            assert_eq!(warm.search.disk_misses, 0, "{app}/{width}: warm compiled");
+            let offered: usize = warm.tasks.iter().map(|t| t.variants_offered).sum();
+            assert!(
+                (1..=offered).contains(&warm.search.program_builds),
+                "{app}/{width}: {} rebuilds for {offered} front variants",
+                warm.search.program_builds
+            );
+            let reference = artefacts(&storeless);
+            for (label, outcome) in [("fill", &fill), ("warm", &warm)] {
+                for ((field, got), (_, want)) in artefacts(outcome).iter().zip(&reference) {
+                    assert!(
+                        got == want,
+                        "{app}/{width}: {label} run's {field} differs from the store-less run"
+                    );
+                }
+            }
+        }
+    }
 }
